@@ -13,7 +13,8 @@ perf job's ``BENCH_*.json`` artifact records them per run:
   bit-identical best cost while skipping the no-op full passes.
 * **Cross-process shared cache** — a 4-worker ``processes`` portfolio over a
   repeated-block workload, with private per-worker caches versus one shared
-  ``shm`` store; the shared run must report cross-worker (remote) hits and
+  ``shm:`` store (an alias of ``server:``, a loopback tcp cache server the
+  run owns); the shared run must report cross-worker (remote) hits and
   stay within noise of the private-copy wall-clock.
 * **Warm restart** — a tcp cache server with an on-disk corpus is warmed by
   one run, killed, and restarted from its store; the second run against the
@@ -251,7 +252,7 @@ def _shared_cache_portfolio(share):
 @pytest.mark.smoke
 @pytest.mark.benchmark(group="perf-hotpath")
 def test_shared_cache_cross_process_portfolio(benchmark):
-    """The shm-shared portfolio must show cross-worker hits at no wall cost."""
+    """The ``shm:``-shared portfolio must show cross-worker hits at no wall cost."""
     circuit = repeated_blocks()
 
     private_started = time.monotonic()
@@ -260,12 +261,12 @@ def test_shared_cache_cross_process_portfolio(benchmark):
 
     def _shared_run():
         started = time.monotonic()
-        result = _shared_cache_portfolio("shm").optimize(circuit)
+        result = _shared_cache_portfolio("shm:").optimize(circuit)
         return result, time.monotonic() - started
 
     shared, shared_wall = benchmark.pedantic(_shared_run, rounds=1, iterations=1)
 
-    assert shared.shared_cache_backend == "shm"
+    assert shared.shared_cache_backend == "tcp"
     perf = shared.perf
     assert perf is not None
     assert perf.cache_remote_hits > 0, (
@@ -291,7 +292,7 @@ def test_shared_cache_cross_process_portfolio(benchmark):
 
     private_hits = private.perf.cache_hits if private.perf is not None else 0
     print_table(
-        "Shared resynthesis cache — private copies vs shm store "
+        "Shared resynthesis cache — private copies vs shm: (owned tcp) store "
         f"({SHARED_WORKERS}-worker processes portfolio, repeated-block workload)",
         ["variant", "wall (s)", "hits", "remote hits", "best cost"],
         [

@@ -2,12 +2,13 @@
 
 Runs the same 4-worker ``processes`` portfolio twice over a workload built
 from one repeated block motif — first with private per-worker caches, then
-with a shared ``shm`` store — and prints the merged cache statistics.  On
-the shared run every worker's synthesis results are visible to its siblings,
-so the report shows *remote* hits: lookups answered by an entry another
-process inserted.  Swap ``"shm"`` for ``"server"`` to route the same runs
-through a dedicated cache process instead (see ``docs/caching.md`` for the
-backend trade-offs).
+with a shared ``server:`` store (a loopback cache server the run spawns and
+shuts down) — and prints the merged cache statistics.  On the shared run
+every worker's synthesis results are visible to its siblings, so the report
+shows *remote* hits: lookups answered by an entry another process inserted.
+Swap ``"server:"`` for ``"tcp://HOST:PORT"`` to share a standalone cache
+server (``python -m repro.distrib.cache_server``) across runs and machines
+instead (see ``docs/caching.md`` for the backends).
 
 Run with::
 
@@ -82,7 +83,7 @@ def run(label: str, share) -> None:
 
 def main() -> None:
     run("private per-worker caches", None)
-    run("shared shm store", "shm")
+    run("shared server: store", "server:")
 
 
 if __name__ == "__main__":

@@ -77,13 +77,6 @@ class GuoqConfig:
     #: buckets — counter-neutral and trajectory-preserving, so seeded runs
     #: are bit-identical with this on or off; see ``docs/batching.md``)
     batch_resynthesis: bool = True
-    #: additionally ship the miss batch to a cache backend that supports
-    #: server-side batch synthesis (``server``/``tcp``), so one vectorized
-    #: pass on the server fills entries many workers will hit.  Off by
-    #: default: remotely synthesized entries convert later misses into hits,
-    #: which changes the local rng trajectory (correct, but not bit-identical
-    #: to an offload-free run).
-    batch_offload_misses: bool = False
 
 
 @dataclass
@@ -305,15 +298,12 @@ class GuoqRun:
         """Turn this quantum's cache misses into one batched dispatch.
 
         Per attached cache: drain the ``(key, canonical)`` pairs recorded at
-        miss time and either offload them as a server-side batch synthesis
-        job (``batch_offload_misses``, for backends that support it) or
-        batch-prefetch their buckets — one IPC round trip that pulls sibling
-        workers' fresh entries into L1 instead of a round trip per future
-        lookup.  Every failure degrades to doing nothing (the scalar paths
-        already resolved this worker's own misses); nothing here can drop a
-        miss or perturb the search trajectory.
+        miss time and batch-prefetch their buckets — one IPC round trip that
+        pulls sibling workers' fresh entries into L1 instead of a round trip
+        per future lookup.  Every failure degrades to doing nothing (the
+        scalar paths already resolved this worker's own misses); nothing here
+        can drop a miss or perturb the search trajectory.
         """
-        config = self._config
         for transformation in self._optimizer.transformations:
             cache = getattr(getattr(transformation, "resynthesizer", None), "cache", None)
             if cache is None:
@@ -321,23 +311,7 @@ class GuoqRun:
             missed = cache.drain_missed_items()
             if not missed:
                 continue
-            backend = cache.backend
-            if config.batch_offload_misses and getattr(
-                backend, "supports_batch_synthesis", False
-            ):
-                from repro.synthesis.batch import resynthesizer_spec
-
-                spec = resynthesizer_spec(transformation.resynthesizer)
-                if spec is not None:
-                    try:
-                        backend.synth_batch(spec, missed)
-                        self._batch_dispatches += 1
-                        continue
-                    except Exception as error:  # noqa: BLE001 - degrade, never raise
-                        cache.record_batch_failure(
-                            f"step-boundary offload failed: {error!r}"
-                        )
-            if backend.kind != "local":
+            if cache.backend.kind != "local":
                 cache.prefetch_keys([key for key, _ in missed])
                 self._batch_dispatches += 1
 

@@ -2,84 +2,36 @@
 
 ``python -m repro.distrib.cache_server --port 8799`` serves one
 :class:`~repro.perf.shared_cache._BucketStore` over an ``AF_INET``
-``multiprocessing.connection.Listener``, speaking the same length-prefixed
-pickle ``(op, payload)`` protocol as the driver-owned ``server`` backend —
-which is exactly what :class:`~repro.perf.shared_cache.TcpCacheBackend`
-clients dial.  Run one (or several — clients shard keys across them with
-consistent hashing) near your host agents, then point every portfolio at
+``multiprocessing.connection.Listener``, speaking the length-prefixed
+pickle ``(op, payload)`` protocol of :mod:`repro.net` — which is exactly
+what :class:`~repro.perf.shared_cache.TcpCacheBackend` clients dial.  Run
+one (or several — clients shard keys across them with consistent hashing)
+near your host agents, then point every portfolio at
 ``share_resynthesis_cache="tcp://host:port[,host:port...]"``.
 
-Unlike the ``server`` backend's child process, a network cache server's
-lifetime deliberately spans many runs and many hosts: a warm store keeps
-serving synthesis results to tomorrow's runs.  Stop it by killing the
-process (or sending the protocol ``shutdown`` op).
+Unlike the loopback server a ``server:`` spec spawns for one run, a network
+cache server's lifetime deliberately spans many runs and many hosts: a warm
+store keeps serving synthesis results to tomorrow's runs.  Stop it by
+killing the process (or sending the protocol ``shutdown`` op).
 
-:func:`start_tcp_cache_server` is the in-process spawn helper tests and
-examples use to get an ephemeral-port server with a handle to tear down.
+:func:`start_tcp_cache_server` (re-exported from
+:mod:`repro.perf.shared_cache`, where the server loop lives) is the spawn
+helper tests and examples use to get an ephemeral-port server with a handle
+to tear down.
 """
 
 from __future__ import annotations
 
 import argparse
 
+from repro import net
 from repro.perf.persist import DEFAULT_FLUSH_INTERVAL
 from repro.perf.shared_cache import (
-    SharedCacheUnavailable,
+    DEFAULT_TCP_AUTHKEY,
     _serve_cache,
     parse_backend_spec,
-    tcp_cache_authkey,
+    start_tcp_cache_server,
 )
-
-
-def start_tcp_cache_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    authkey: "bytes | None" = None,
-    maxsize: int = 4096,
-    match_epsilon: float = 1e-9,
-    start_timeout: float = 30.0,
-    store_path=None,
-    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-):
-    """Spawn a cache-server process; returns ``(process, (host, port))``.
-
-    ``port=0`` lets the OS pick a free port (the returned address has the
-    real one).  The process is a daemon: it dies with its parent unless the
-    parent outlives the runs it serves.  Terminate it (or send the protocol
-    ``shutdown`` op) to stop it; there is no owning backend handle.
-
-    ``store_path`` makes the server crash-safe across restarts: it reloads
-    the on-disk corpus before binding (a damaged file degrades to its intact
-    prefix with a note, never a crash) and snapshots it on shutdown or
-    SIGTERM; ``flush_interval`` bounds how many puts a SIGKILL can lose.
-    """
-    import multiprocessing
-
-    key = bytes(authkey) if authkey is not None else tcp_cache_authkey()
-    context = multiprocessing.get_context()
-    bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_serve_cache,
-        args=(
-            bootstrap_send,
-            key,
-            maxsize,
-            match_epsilon,
-            (host, port),
-            store_path,
-            flush_interval,
-        ),
-        daemon=True,
-        name="repro-tcp-cache-server",
-    )
-    process.start()
-    bootstrap_send.close()
-    if not bootstrap_recv.poll(start_timeout):
-        process.terminate()
-        raise SharedCacheUnavailable("tcp cache server did not report an address in time")
-    address = bootstrap_recv.recv()
-    bootstrap_recv.close()
-    return process, (str(address[0]), int(address[1]))
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -131,7 +83,11 @@ def main(argv: "list[str] | None" = None) -> int:
         match_epsilon = spec.match_epsilon if spec.match_epsilon is not None else match_epsilon
         store_path = spec.store_path if spec.store_path is not None else store_path
         flush_interval = spec.flush_interval if spec.flush_interval is not None else flush_interval
-    key = args.authkey.encode() if args.authkey else tcp_cache_authkey()
+    key = (
+        args.authkey.encode()
+        if args.authkey
+        else net.authkey("REPRO_CACHE_AUTHKEY", DEFAULT_TCP_AUTHKEY)
+    )
     store_note = f"; store {store_path}" if store_path else ""
     print(
         f"[cache-server] serving on {args.host}:{args.port} "
@@ -151,6 +107,9 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     print("[cache-server] shut down")
     return 0
+
+
+__all__ = ["main", "start_tcp_cache_server"]
 
 
 if __name__ == "__main__":

@@ -50,12 +50,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import socket
 import threading
 import time
 from collections import deque
 from multiprocessing.connection import Listener
 
+from repro import net
 from repro.distrib.merge import (
     DistributedSuiteResult,
     merge_case_results,
@@ -68,9 +68,8 @@ from repro.distrib.plan import (
     make_shard_plan,
     validate_job_cases,
 )
-from repro.distrib.worker import distrib_authkey
+from repro.distrib.worker import DEFAULT_DISTRIB_AUTHKEY
 from repro.perf.report import PerfReport
-from repro.perf.shared_cache import drain_connection_pool
 
 
 def _run_label(key: "tuple[str, int]") -> str:
@@ -462,20 +461,6 @@ def _serve_agent(connection, state: _CoordinatorState, job: DistributedJob) -> N
         state.lost(host, held)
 
 
-def _wake_listener(address, authkey: bytes, finished: threading.Event, deadline: "float | None"):
-    """Unblock the accept loop when the run finishes (or the deadline passes).
-
-    A raw timed connect, not an authenticated ``Client``: if the accept loop
-    has already exited, a full dial would wait forever in the listen backlog
-    for a challenge nobody sends.
-    """
-    finished.wait(None if deadline is None else max(0.0, deadline - time.monotonic()))
-    try:
-        socket.create_connection(address, timeout=2.0).close()
-    except OSError:
-        pass
-
-
 class Coordinator:
     """Own one distributed run: bind, dispatch, steal, re-queue, merge.
 
@@ -510,7 +495,9 @@ class Coordinator:
         self.plan = plan
         self.host = host
         self.port = port
-        self.authkey = bytes(authkey) if authkey is not None else distrib_authkey()
+        if authkey is None:
+            authkey = net.authkey("REPRO_DISTRIB_AUTHKEY", DEFAULT_DISTRIB_AUTHKEY)
+        self.authkey = bytes(authkey)
         self.timeout = timeout
         self.max_shard_attempts = max_shard_attempts
         self.steal = steal
@@ -547,7 +534,7 @@ class Coordinator:
             return self._serve()
         finally:
             if self.drain_pool:
-                drain_connection_pool()
+                net.drain_connection_pool()
 
     def _serve(self) -> DistributedSuiteResult:
         state = _CoordinatorState(
@@ -560,30 +547,33 @@ class Coordinator:
         deadline = None if self.timeout is None else started + self.timeout
         with Listener((self.host, self.port), authkey=self.authkey) as listener:
             self._address = listener.address
+
+            def past_deadline() -> bool:
+                return deadline is not None and time.monotonic() >= deadline
+
+            def wake_when_over() -> None:
+                state.finished.wait(
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
+                )
+                net.wake(listener.address)
+
             self._bound.set()
-            threading.Thread(
-                target=_wake_listener,
-                args=(listener.address, self.authkey, state.finished, deadline),
-                daemon=True,
-            ).start()
-            while not state.finished.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    reason = (
-                        f"distributed run timed out after {self.timeout:.0f}s "
-                        f"({state.snapshot()})"
-                    )
-                    # Flip the abort flag *before* raising: the handler
-                    # threads outlive the accept loop and answer connected
-                    # agents with the abort so they shut down cleanly.
-                    state.abort(reason)
-                    raise TimeoutError(reason)
-                try:
-                    connection = listener.accept()
-                except Exception:
-                    continue  # failed handshake must not kill the run
-                threading.Thread(
-                    target=_serve_agent, args=(connection, state, self.job), daemon=True
-                ).start()
+            threading.Thread(target=wake_when_over, daemon=True).start()
+            net.serve_forever(
+                listener,
+                lambda connection: _serve_agent(connection, state, self.job),
+                lambda: state.finished.is_set() or past_deadline(),
+            )
+            if not state.finished.is_set():
+                reason = (
+                    f"distributed run timed out after {self.timeout:.0f}s "
+                    f"({state.snapshot()})"
+                )
+                # Flip the abort flag *before* raising: the handler threads
+                # outlive the accept loop and answer connected agents with
+                # the abort so they shut down cleanly.
+                state.abort(reason)
+                raise TimeoutError(reason)
         if state.fatal is not None:
             raise RuntimeError(
                 f"distributed run aborted: {state.fatal} "

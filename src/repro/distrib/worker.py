@@ -18,7 +18,7 @@ case exactly like worker 0 anchors a portfolio.
 Agents are stateless pull-workers: the job spec travels with each
 assignment, a lost agent forfeits only its unfinished runs, and between
 runs the agent drains its pooled cache connections
-(:func:`repro.perf.shared_cache.drain_connection_pool`) so a long-lived
+(:func:`repro.net.drain_connection_pool`) so a long-lived
 agent never leaks sockets across the many portfolio runs it hosts.
 
 The same execution path is exposed in-process as :func:`run_local`, which
@@ -32,6 +32,7 @@ import argparse
 import time
 import traceback
 
+from repro import net
 from repro.distrib.merge import DistributedSuiteResult, ShardResult, merge_shard_results
 from repro.distrib.plan import CaseRun, DistributedJob, Shard, ShardPlan
 from repro.perf.report import PerfReport
@@ -44,14 +45,6 @@ DEFAULT_DISTRIB_AUTHKEY = b"repro-distrib"
 
 class _RunAborted(Exception):
     """The coordinator declared the run dead (timeout / attempt-cap abort)."""
-
-
-def distrib_authkey() -> bytes:
-    """The coordinator/agent authkey: ``REPRO_DISTRIB_AUTHKEY`` or default."""
-    import os
-
-    value = os.environ.get("REPRO_DISTRIB_AUTHKEY")
-    return value.encode() if value else DEFAULT_DISTRIB_AUTHKEY
 
 
 def build_cases(job: DistributedJob, names: "list[str]") -> "dict[str, object]":
@@ -251,7 +244,9 @@ class HostAgent:
         drain_pool: bool = True,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
-        self.authkey = bytes(authkey) if authkey is not None else distrib_authkey()
+        if authkey is None:
+            authkey = net.authkey("REPRO_DISTRIB_AUTHKEY", DEFAULT_DISTRIB_AUTHKEY)
+        self.authkey = bytes(authkey)
         if name is None:
             import os
             import socket
@@ -272,18 +267,6 @@ class HostAgent:
         self.abort_reason: "str | None" = None
         #: cross-host incumbents this agent adopted (telemetry)
         self.adopted = 0
-
-    def _connect(self):
-        from multiprocessing.connection import Client
-
-        deadline = time.monotonic() + self.connect_timeout
-        while True:
-            try:
-                return Client(self.address, authkey=self.authkey)
-            except (ConnectionError, OSError):
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(min(self.poll_interval, 0.5))
 
     def _post(self, connection, message) -> dict:
         """Send one report/heartbeat; return the coordinator's update.
@@ -408,10 +391,13 @@ class HostAgent:
 
     def run(self) -> int:
         """Serve assignments until ``done``/``abort``; returns runs completed."""
-        from repro.perf.shared_cache import drain_connection_pool
-
         completed = 0
-        connection = self._connect()
+        connection = net.dial(
+            self.address,
+            self.authkey,
+            retry_for=self.connect_timeout,
+            interval=min(self.poll_interval, 0.5),
+        )
         try:
             connection.send(("hello", self.name))
             connection.recv()  # welcome
@@ -460,7 +446,7 @@ class HostAgent:
             # A long-lived agent outlives many runs (and their tcp caches):
             # drop pooled sockets so dead servers don't accumulate fds.
             if self.drain_pool:
-                drain_connection_pool()
+                net.drain_connection_pool()
         return completed
 
 

@@ -140,19 +140,18 @@ class PortfolioOptimizer:
     ``share_resynthesis_cache`` selects how resynthesis outcomes are shared
     across workers, as a backend spec string parsed by
     :func:`repro.perf.parse_backend_spec` (see ``docs/caching.md`` for the
-    backend matrix; the legacy ``True``/bare-kind spellings still work but
-    emit a :class:`DeprecationWarning`):
+    backend matrix):
 
     * ``None``/``False`` — workers keep whatever private caches their
       transformations carry (the default).
     * ``"local:"`` — one in-process shared cache; reuse spans
       serial/thread workers, while the processes backend forks private
       copies per worker (recorded in ``result.perf.notes``).
-    * ``"shm:"`` / ``"server:"`` — a cross-process shared store
-      (:mod:`repro.perf.shared_cache`) the driver owns: created when
-      ``optimize`` starts and torn down when it returns.  If the platform
-      cannot bring the backend up, the run degrades to ``"local"`` and says
-      so in ``result.perf.notes``.
+    * ``"server:"`` (alias ``"shm:"``) — a cross-process shared store: a
+      loopback tcp cache server (:mod:`repro.perf.shared_cache`) the driver
+      owns, spawned when ``optimize`` starts and shut down when it returns.
+      If the platform cannot bring it up, the run degrades to ``"local"``
+      and says so in ``result.perf.notes``.
     * ``"tcp://host:port[,host:port...]"`` — a *network* store served by
       already-running cache servers (``python -m repro.distrib.cache_server``),
       with keys consistent-hashed across servers; portfolio runs on
@@ -186,13 +185,9 @@ class PortfolioOptimizer:
         """Materialize ``share_resynthesis_cache``: ``(cache, owned, notes)``.
 
         ``owned`` marks a cache this optimizer created for one run and must
-        close on exit (its server process / manager dies with the run); an
-        adopted instance stays the caller's responsibility.
-
-        Every string/bool spelling routes through
-        :func:`repro.perf.parse_backend_spec` — the legacy forms (``True``,
-        bare kind names) keep working but emit a :class:`DeprecationWarning`
-        naming the spec-string replacement.
+        close on exit (an owned server process dies with the run); an
+        adopted instance stays the caller's responsibility.  Every string
+        spelling routes through :func:`repro.perf.parse_backend_spec`.
         """
         from repro.perf import shared_cache as shared_cache_module
         from repro.perf.cache import ResynthesisCache
@@ -220,7 +215,7 @@ class PortfolioOptimizer:
                     f"requested {spec.canonical!r} shared cache backend unavailable "
                     f"({error}); fell back to 'local'"
                 )
-                backend = "local"
+                backend = "local:"
         cache = ResynthesisCache(shared=True, backend=backend)
         notes.insert(0, f"shared resynthesis cache backend: {cache.backend.kind}")
         return cache, True, notes
@@ -492,8 +487,8 @@ class PortfolioRun:
         if self.shared_cache is None:
             return
         if self._owns_cache:
-            # The run owns the backend: tear the server process / manager
-            # down with the run it served.
+            # The run owns the backend: tear an owned server process down
+            # with the run it served.
             self.shared_cache.close()
         else:
             try:
@@ -533,9 +528,9 @@ def optimize_circuit_portfolio(
     """Portfolio analogue of :func:`repro.core.instantiate.optimize_circuit`.
 
     ``share_resynthesis_cache`` selects how resynthesis outcomes are reused
-    across workers: ``True``/``"local"`` shares one in-process cache across
-    serial/thread workers only, while ``"shm"`` and ``"server"`` stand up a
-    cross-process store (:mod:`repro.perf.shared_cache`) that the
+    across workers: ``"local:"`` shares one in-process cache across
+    serial/thread workers only, while ``"server:"`` (alias ``"shm:"``)
+    stands up a cross-process store (:mod:`repro.perf.shared_cache`) that the
     ``processes`` backend's workers all read and write — a block synthesized
     by one worker is a cache hit for every sibling.  A
     ``"tcp://host:port[,...]"`` URL attaches the same protocol to network
@@ -543,7 +538,7 @@ def optimize_circuit_portfolio(
     Off by default because
     sharing makes worker outcomes depend on sibling progress, which weakens
     the portfolio's backend-blind determinism guarantee.  With in-process
-    sharing (``True``/``"local"``) on the ``processes``/``auto`` backends,
+    sharing (``"local:"``) on the ``processes``/``auto`` backends,
     each pickled worker forks a private copy instead (a warning is emitted
     and the downgrade lands in ``result.perf.notes``).
     """
@@ -556,14 +551,14 @@ def optimize_circuit_portfolio(
         gate_set = get_gate_set(gate_set)
     if isinstance(objective, str):
         objective = default_objective(gate_set, objective)
-    if share_resynthesis_cache in (True, "local", "local:") and backend in ("processes", "auto"):
+    if share_resynthesis_cache == "local:" and backend in ("processes", "auto"):
         import warnings
 
         warnings.warn(
             "share_resynthesis_cache='local:' only shares across in-process workers; "
             f"the {backend!r} backend pickles per-worker copies, so cross-worker "
-            "reuse will not happen there (use share_resynthesis_cache='shm:' or "
-            "'server:' for cross-process sharing)",
+            "reuse will not happen there (use share_resynthesis_cache='server:' "
+            "for cross-process sharing)",
             RuntimeWarning,
             stacklevel=2,
         )

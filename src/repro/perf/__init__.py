@@ -11,20 +11,20 @@ Algorithm 1 regression pin observes:
   qubit-permutation-normalized) form of the block unitary, with LRU bounds
   and hit/miss counters;
 * :mod:`~repro.perf.shared_cache` — pluggable cache storage backends:
-  in-process (``local``), shared-memory (``shm``), a driver-owned cache
-  server (``server``), and a consistent-hash network client (``tcp``) over
-  standalone cache servers, so the cache can be shared across portfolio
-  workers in separate processes — or on separate machines (see
-  :mod:`repro.distrib`);
+  in-process (``local``) and a consistent-hash client (``tcp``) of cache
+  servers — a loopback one the run owns (``server:``) or standalone ones
+  (``tcp://``) — so the cache can be shared across portfolio workers in
+  separate processes, or on separate machines (see :mod:`repro.distrib`);
 * :class:`~repro.perf.report.PerfReport` — per-phase wall-clock accounting,
   iteration throughput, and cache statistics, surfaced through
   ``GuoqResult.perf`` and merged across portfolio workers;
-* :mod:`~repro.perf.persist` — the crash-safe disk tier: ``local`` and
-  ``server`` stores (and the standalone tcp cache server) can snapshot
-  their buckets to an append-only corpus file and reload it on start, so a
-  killed or restarted cache server comes back warm instead of cold.
+* :mod:`~repro.perf.persist` — the crash-safe disk tier: ``local`` stores
+  and cache servers (owned or standalone) can snapshot their buckets to an
+  append-only corpus file and reload it on start, so a killed or restarted
+  cache server comes back warm instead of cold.
 """
 
+from repro.net import drain_connection_pool
 from repro.perf.cache import ResynthesisCache, canonicalize_unitary, permute_unitary
 from repro.perf.persist import (
     CORPUS_VERSION,
@@ -39,12 +39,9 @@ from repro.perf.shared_cache import (
     BackendSpec,
     CacheBackend,
     LocalBackend,
-    ServerBackend,
     SharedCacheUnavailable,
-    ShmBackend,
     TcpCacheBackend,
     create_backend,
-    drain_connection_pool,
     parse_backend_spec,
     parse_tcp_cache_url,
 )
@@ -59,9 +56,7 @@ __all__ = [
     "LocalBackend",
     "PerfReport",
     "ResynthesisCache",
-    "ServerBackend",
     "SharedCacheUnavailable",
-    "ShmBackend",
     "TcpCacheBackend",
     "append_corpus",
     "canonicalize_unitary",

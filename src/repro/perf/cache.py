@@ -30,10 +30,10 @@ trace never reaches a resynthesis call.
 
 Storage is pluggable (see :mod:`repro.perf.shared_cache` and
 ``docs/caching.md``): the default ``local`` backend is a private in-process
-LRU, while the ``shm`` and ``server`` backends let portfolio workers in
-*separate processes* share one store — this front end keeps canonicalization,
-hit verification, per-worker counters, and a write-back buffer that batches
-puts to amortize IPC.
+LRU, while the ``tcp`` backend (a cache server the run owns, or standalone
+ones) lets portfolio workers in *separate processes* share one store — this
+front end keeps canonicalization, hit verification, per-worker counters, and
+a write-back buffer that batches puts to amortize IPC.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ResynthesisCache:
     ----------
     maxsize:
         Maximum number of entries; the least recently used bucket is evicted
-        when the bound is exceeded (insertion-ordered on the ``shm`` backend).
+        when the bound is exceeded.
     decimals:
         Quantization grid of the hash key (see :func:`canonicalize_unitary`).
     match_epsilon:
@@ -159,10 +159,11 @@ class ResynthesisCache:
         workers.  Whether sharing survives a *process* boundary depends on
         the backend: ``local`` pickles a private copy per worker (each keeps
         its own copy warm; the downgrade is recorded in :attr:`notes`), while
-        ``shm``/``server`` copies keep pointing at the one shared store.
+        ``tcp`` copies keep pointing at the one shared store.
     backend:
-        Storage backend: ``"local"`` (default), ``"shm"``, ``"server"``, or a
-        ready-made backend object from :mod:`repro.perf.shared_cache`.
+        Storage backend: a spec (``"local:"``, the default, ``"server:"``,
+        ``"tcp://host:port"``; see :func:`~repro.perf.parse_backend_spec`)
+        or a ready-made backend object from :mod:`repro.perf.shared_cache`.
         Non-local backends require ``shared=True`` — a cross-process store
         makes no sense for a cache documented as private.
     write_batch_size:
@@ -182,7 +183,7 @@ class ResynthesisCache:
         cache_failures: bool = True,
         verify_hits: bool = True,
         shared: bool = False,
-        backend: "str | object" = "local",
+        backend: "str | object" = "local:",
         write_batch_size: int = DEFAULT_WRITE_BATCH,
     ) -> None:
         if maxsize < 1:
@@ -204,7 +205,7 @@ class ResynthesisCache:
             kind = backend.kind
         if kind != "local" and not shared:
             # Validate before materializing: create_backend would spawn a
-            # server/manager process with no handle left to close it.
+            # server process with no handle left to close it.
             raise ValueError(
                 f"the {kind!r} backend is a shared store; construct the "
                 "cache with shared=True"
@@ -643,8 +644,8 @@ class ResynthesisCache:
     def close(self) -> None:
         """Flush buffered puts and release backend resources.
 
-        For the owning process of a ``server``/``shm`` backend this tears the
-        shared store down; worker-side copies merely drop their connection.
+        For the owning handle of a ``server:`` store this tears the server
+        down; worker-side copies merely drop their connections.
         """
         try:
             self.flush()
@@ -714,7 +715,7 @@ class ResynthesisCache:
             self.notes = list(self.notes) + [
                 "shared resynthesis cache crossed a process boundary with the "
                 "'local' backend: this copy downgraded to a private in-process "
-                "cache (use backend='shm' or 'server' for cross-process sharing)"
+                "cache (use backend='server:' for cross-process sharing)"
             ]
 
 

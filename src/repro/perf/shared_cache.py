@@ -1,67 +1,51 @@
-"""Cache storage backends: in-process, shared-memory, and cache-server.
+"""Cache storage backends: in-process and a cache-server store over TCP.
 
 :class:`~repro.perf.cache.ResynthesisCache` is split into a *front end* (key
 canonicalization, hit verification, per-worker counters — always private to a
 worker) and a pluggable *backend* holding the actual ``key -> bucket`` store.
-Three backends cover the portfolio's execution modes:
+Two backends cover every execution mode:
 
 * ``local`` (:class:`LocalBackend`) — the plain in-process ``OrderedDict``
-  LRU used since PR 2.  Shareable across serial/thread workers only; a copy
-  that crosses a process boundary becomes private.
-* ``shm`` (:class:`ShmBackend`) — a ``multiprocessing.Manager`` dict fronted
-  by a small lock-striped index, so ``processes``-backend portfolio workers
-  read and write one shared store.  Mutations take a per-stripe lock
-  (read-modify-write of one bucket); reads are lock-free proxy lookups.
-* ``server`` (:class:`ServerBackend`) — a dedicated cache process owned by
-  the portfolio driver, speaking the length-prefixed pickle protocol of
-  ``multiprocessing.connection`` over a ``Listener`` socket.  Workers connect
-  lazily (once per process, at fork/spawn attach time) and batch get/put
-  round trips; the server serializes all mutations through one
-  :class:`_BucketStore`, which keeps true LRU order — the trade against
-  ``shm`` is one IPC hop per lookup versus manager-proxy traffic per bucket.
-* ``tcp`` (:class:`TcpCacheBackend`) — the same wire protocol as ``server``
-  but against one or more *network* cache servers on ``AF_INET`` addresses
-  (``tcp://host:port,host:port``), with consistent-hash key sharding across
-  servers.  This is the backend that lets portfolio runs on *different
-  machines* share synthesis results (see ``docs/distributed.md``); the
-  servers are standalone processes (``python -m repro.distrib.cache_server``)
-  whose lifetime spans many runs and many hosts, so unlike ``server`` the
-  backend never owns them.  An unreachable server at bring-up raises
-  :class:`SharedCacheUnavailable`; a server lost *mid-run* degrades its key
-  range to miss/drop instead of failing the run.
+  LRU.  Shareable across serial/thread workers only; a copy that crosses a
+  process boundary becomes private.
+* ``tcp`` (:class:`TcpCacheBackend`) — a client of one or more cache-server
+  processes, each serving one :class:`_BucketStore` over the length-prefixed
+  pickle protocol of ``multiprocessing.connection`` (the transport of
+  :mod:`repro.net`).  Keys are consistent-hashed across servers.  A
+  ``tcp://host:port,...`` spec dials standalone servers
+  (``python -m repro.distrib.cache_server``) whose lifetime spans many runs
+  and hosts; the ``server:`` and ``shm:`` specs spawn a loopback server that
+  the handle owns and shuts down on :meth:`~TcpCacheBackend.close` — the
+  cross-process store a ``processes`` portfolio's workers share.  An
+  unreachable server at bring-up raises :class:`SharedCacheUnavailable`; a
+  server lost *mid-run* degrades its key range to miss/drop instead of
+  failing the run.
 
-All backends implement the same small protocol (:class:`CacheBackend`):
+Both implement the same small protocol (:class:`CacheBackend`):
 ``get_many`` / ``put_many`` at bucket granularity (the unit the front end
 batches), plus ``stats``/``clear``/``close`` and a ``kind`` tag.  Entries are
 :class:`_Entry` records in the *canonical* qubit frame, so a bucket fetched
 by any worker can serve any query that canonicalizes to its key.
-
-Backends that reach shared state (``shm``/``server``) may be unavailable on
-restricted platforms (no subprocesses, no sockets); :func:`create_backend`
-raises :class:`SharedCacheUnavailable` so callers can degrade to ``local``.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import os
-import pickle
 import secrets
 import threading
-import warnings
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from multiprocessing.connection import Client, Listener
+from multiprocessing.connection import Listener
 from typing import Protocol
 
 import numpy as np
 
+from repro import net
 from repro.perf.persist import DEFAULT_FLUSH_INTERVAL, CorpusPersister
 from repro.synthesis.resynth import ResynthesisOutcome
 
-BACKEND_KINDS = ("local", "shm", "server", "tcp")
+BACKEND_KINDS = ("local", "tcp")
 
 #: how many pending puts a front end accumulates before flushing to a shared
 #: backend (amortizes IPC; see ``ResynthesisCache.write_batch_size``)
@@ -77,15 +61,11 @@ class CacheBackend(Protocol):
 
     Bucket-granular batched transfers (``get_many``/``put_many``) are the
     whole data plane — the front end batches around them, so a backend only
-    ever pays one round trip per batch.  A future distributed cache
-    implements exactly this protocol (the ``server`` backend's wire protocol
-    is the template).
+    ever pays one round trip per batch.
     """
 
-    #: backend kind tag: ``"local"``, ``"shm"``, ``"server"``, ...
+    #: backend kind tag: ``"local"`` or ``"tcp"``
     kind: str
-    #: whether copies that cross a process boundary still reach this store
-    shared_across_processes: bool
     #: whether the store can run server-side batch synthesis jobs
     #: (``synth_batch``); the batch engine checks this before offloading
     supports_batch_synthesis: bool
@@ -315,7 +295,6 @@ class LocalBackend(_BucketStore):
     """
 
     kind = "local"
-    shared_across_processes = False
     supports_batch_synthesis = False
 
     def close(self) -> None:
@@ -323,232 +302,9 @@ class LocalBackend(_BucketStore):
         self.snapshot()
 
 
-class ShmBackend:
-    """Shared-memory backend: a Manager dict with a lock-striped index.
-
-    The manager process owns ``key -> bucket`` state; every portfolio worker
-    holds picklable proxies to the same dict.  Writes do a read-modify-write
-    of one bucket under the key's stripe lock (``stripes`` of them, so
-    workers writing different keys rarely contend); reads are single proxy
-    lookups and take no lock — a torn read is impossible because bucket
-    values are replaced wholesale, never mutated in place.
-
-    Eviction is insertion-ordered (FIFO over buckets) rather than true LRU:
-    per-lookup recency updates would turn every read into a write against the
-    manager, which is exactly the contention a striped shared cache is meant
-    to avoid.  The entry count bounding eviction is tracked under a dedicated
-    counter lock and is exact with respect to completed puts.
-    """
-
-    kind = "shm"
-    shared_across_processes = True
-    supports_batch_synthesis = False
-
-    def __init__(
-        self,
-        maxsize: int = 512,
-        match_epsilon: float = 1e-9,
-        stripes: int = 8,
-        manager=None,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        if stripes < 1:
-            raise ValueError("stripes must be at least 1")
-        self.maxsize = maxsize
-        self.match_epsilon = match_epsilon
-        if manager is None:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            self._manager = manager  # owned: shut down in close()
-        else:
-            self._manager = None
-        self._buckets = manager.dict()
-        self._locks = [manager.Lock() for _ in range(stripes)]
-        self._counter_lock = manager.Lock()
-        self._counters = manager.dict(entries=0, puts=0, evictions=0, negative_entries=0)
-
-    def _stripe(self, key: bytes) -> "threading.Lock":
-        # crc32, not hash(): the builtin hash of bytes is salted per process,
-        # so workers would disagree about which lock guards a key and the
-        # same-key read-modify-write serialization would silently break.
-        return self._locks[zlib.crc32(key) % len(self._locks)]
-
-    # -- protocol ------------------------------------------------------------
-
-    def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        found: "dict[bytes, list[_Entry]]" = {}
-        for key in keys:
-            blob = self._buckets.get(key)
-            if blob is not None:
-                found[key] = pickle.loads(blob)
-        return found
-
-    def put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        appended = 0
-        puts = 0
-        negative = 0
-        for key, entry in items:
-            with self._stripe(key):
-                blob = self._buckets.get(key)
-                bucket = pickle.loads(blob) if blob is not None else []
-                # Delta the negative count around the merge: a refresh can
-                # flip an entry between failure and success, not just append.
-                before_negative = sum(1 for stored in bucket if stored.outcome is None)
-                grew = _merge_entry(bucket, entry, self.match_epsilon)
-                negative += (
-                    sum(1 for stored in bucket if stored.outcome is None) - before_negative
-                )
-                self._buckets[key] = pickle.dumps(bucket)
-            puts += 1
-            if grew:
-                appended += 1
-        with self._counter_lock:
-            self._counters["puts"] = self._counters["puts"] + puts
-            entries = self._counters["entries"] + appended
-            self._counters["entries"] = entries
-            self._counters["negative_entries"] = max(
-                0, self._counters["negative_entries"] + negative
-            )
-        if entries > self.maxsize:
-            self._evict(entries - self.maxsize)
-
-    def _evict(self, excess: int) -> None:
-        """Drop oldest-inserted buckets until ``excess`` entries are gone."""
-        dropped = 0
-        negative_dropped = 0
-        while dropped < excess:
-            try:
-                victim = next(iter(self._buckets.keys()))
-            except StopIteration:
-                break
-            with self._stripe(victim):
-                blob = self._buckets.pop(victim, None)
-            if blob is None:
-                continue
-            bucket = pickle.loads(blob)
-            dropped += len(bucket)
-            negative_dropped += sum(1 for entry in bucket if entry.outcome is None)
-        if dropped:
-            with self._counter_lock:
-                self._counters["entries"] = max(0, self._counters["entries"] - dropped)
-                self._counters["evictions"] = self._counters["evictions"] + dropped
-                self._counters["negative_entries"] = max(
-                    0, self._counters["negative_entries"] - negative_dropped
-                )
-
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> dict:
-        return dict(self._counters)
-
-    def clear(self) -> None:
-        with self._counter_lock:
-            self._buckets.clear()
-            self._counters.update(entries=0, negative_entries=0)
-
-    def __len__(self) -> int:
-        return int(self._counters["entries"])
-
-    def close(self) -> None:
-        """Shut the manager down (only the creating process owns it)."""
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
-    # -- pickling (workers receive proxy handles, never the manager) ---------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_manager"] = None
-        return state
-
-
 # --------------------------------------------------------------------------
 # Cache server: a dedicated process speaking length-prefixed pickle messages.
 # --------------------------------------------------------------------------
-
-#: module-level client connection reuse: one connection (plus its I/O lock)
-#: per (address, authkey) per process, so a worker that receives many pickled
-#: ``ServerBackend``/``TcpCacheBackend`` handles (one per exchange round)
-#: dials each server once
-_CONNECTIONS: dict = {}
-_CONNECTIONS_GUARD = threading.Lock()
-
-
-def _address_key(address) -> "tuple | object":
-    """Hashable pool-key form of a connection address (lists don't hash)."""
-    return tuple(address) if isinstance(address, (list, tuple)) else address
-
-
-def _pooled_channel(address, authkey: bytes):
-    """Dial (or reuse) the per-process connection to ``address``.
-
-    Returns ``(connection, io_lock)``; the lock serializes request/reply
-    pairs on the shared socket.  The dial itself happens *outside* the pool
-    guard — a slow or black-holed server (network caches can sit across a
-    WAN) must not stall every thread's traffic to healthy servers while the
-    OS connect times out.  A lost race simply closes the extra socket.
-    """
-    connection_key = (_address_key(address), authkey)
-    with _CONNECTIONS_GUARD:
-        channel = _CONNECTIONS.get(connection_key)
-    if channel is not None:
-        return channel
-    connection = Client(address, authkey=authkey)
-    with _CONNECTIONS_GUARD:
-        existing = _CONNECTIONS.get(connection_key)
-        if existing is not None:
-            channel = existing
-        else:
-            channel = (connection, threading.Lock())
-            _CONNECTIONS[connection_key] = channel
-    if channel[0] is not connection:  # raced another dialer; keep theirs
-        try:
-            connection.close()
-        except OSError:
-            pass
-    return channel
-
-
-def _drop_pooled_channel(address, authkey: bytes) -> None:
-    """Close and forget the pooled connection to ``address`` (if any)."""
-    connection_key = (_address_key(address), authkey)
-    with _CONNECTIONS_GUARD:
-        channel = _CONNECTIONS.pop(connection_key, None)
-    if channel is not None:
-        try:
-            channel[0].close()
-        except OSError:
-            pass
-
-
-def drain_connection_pool() -> int:
-    """Close every pooled cache connection this process holds.
-
-    Backend handles pool their sockets per ``(address, authkey)`` so that
-    repeated runs against the same store reuse one connection.  A long-lived
-    process that outlives many runs against *different* stores (e.g. a
-    ``repro.distrib`` host agent serving shard after shard) calls this
-    between runs so dead servers' sockets don't accumulate.  Returns the
-    number of connections closed.  Call it at a quiescent point (between
-    runs, not while requests are in flight): closing a socket under an
-    active request surfaces as a connection error to that request —
-    harmless for ``ServerBackend`` (it raises) and absorbed by
-    ``TcpCacheBackend``'s redial-once retry, but noisy.  The next request
-    simply redials.
-    """
-    with _CONNECTIONS_GUARD:
-        channels = list(_CONNECTIONS.values())
-        _CONNECTIONS.clear()
-    for connection, _ in channels:
-        try:
-            connection.close()
-        except OSError:
-            pass
-    return len(channels)
-
 
 def _serve_client(connection, store: _BucketStore, stop: threading.Event) -> None:
     """Handle one worker connection until it disconnects (server side)."""
@@ -602,18 +358,17 @@ def _serve_cache(
     authkey: bytes,
     maxsize: int,
     match_epsilon: float,
-    address=None,
+    address,
     store_path=None,
     flush_interval: int = DEFAULT_FLUSH_INTERVAL,
 ) -> None:
     """Cache-server process entry point (spawn-safe: module level, plain args).
 
-    Binds a ``Listener`` on ``address`` (None lets the OS pick a local
-    address; an ``(host, port)`` tuple binds an ``AF_INET`` socket a remote
-    machine can reach), reports the bound address back through the
-    ``bootstrap`` pipe if one is given, then accepts worker connections until
-    one of them sends ``shutdown``.  Every connection is served by a daemon
-    thread against one shared :class:`_BucketStore`.
+    Binds an ``AF_INET`` ``Listener`` on the ``(host, port)`` ``address``,
+    reports the bound address back through the ``bootstrap`` pipe if one is
+    given, then accepts worker connections until one of them sends
+    ``shutdown``.  Every connection is served by a daemon thread against one
+    shared :class:`_BucketStore`.
 
     With a ``store_path`` the store reloads the on-disk corpus at bind time
     and snapshots it on every exit path short of SIGKILL: the protocol
@@ -644,188 +399,13 @@ def _serve_cache(
             if bootstrap is not None:
                 bootstrap.send(listener.address)
                 bootstrap.close()
-            while not stop.is_set():
-                try:
-                    connection = listener.accept()
-                except Exception:
-                    if stop.is_set():
-                        break
-                    continue
-                threading.Thread(
-                    target=_serve_client, args=(connection, store, stop), daemon=True
-                ).start()
-                # ``accept`` only returns when a client dials in, so the loop
-                # re-checks ``stop`` exactly when the shutdown request's extra
-                # wake-up connection (below) arrives.
+            # The client that sends ``shutdown`` wakes the accept loop.
+            net.serve_forever(
+                listener, lambda connection: _serve_client(connection, store, stop), stop.is_set
+            )
     finally:
         store.snapshot()
 
-
-class ServerBackend:
-    """Client handle to a cache-server process (plus ownership, if creator).
-
-    The wire protocol is ``multiprocessing.connection``'s native framing —
-    each message is a pickle preceded by its byte length — carrying
-    ``(op, payload)`` requests and ``(ok, result)`` replies.  Handles pickle
-    down to ``(address, authkey)``; an unpickled copy redials the server on
-    first use in its process (connections are cached per process, so the
-    per-round engine pickling of the processes backend reuses one socket).
-    """
-
-    kind = "server"
-    shared_across_processes = True
-    #: the server process can run batch synthesis jobs against its own store
-    supports_batch_synthesis = True
-
-    def __init__(self, address, authkey: bytes, process=None, maxsize: int = 512) -> None:
-        self.address = address
-        self.authkey = bytes(authkey)
-        self.maxsize = maxsize
-        self._process = process  # owned by the creating (driver) process
-        self._closed = False
-
-    @classmethod
-    def start(
-        cls,
-        maxsize: int = 512,
-        match_epsilon: float = 1e-9,
-        start_timeout: float = 30.0,
-        store_path=None,
-        flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-    ) -> "ServerBackend":
-        """Launch the server process and return the owning client handle.
-
-        ``store_path`` gives the server the crash-safe disk tier: it reloads
-        the corpus on start and snapshots it on shutdown/terminate, so the
-        next ``start`` against the same path begins warm.
-        """
-        import multiprocessing
-
-        authkey = secrets.token_bytes(16)
-        context = multiprocessing.get_context()
-        bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_serve_cache,
-            args=(
-                bootstrap_send,
-                authkey,
-                maxsize,
-                match_epsilon,
-                None,
-                store_path,
-                flush_interval,
-            ),
-            daemon=True,
-            name="resynth-cache-server",
-        )
-        process.start()
-        bootstrap_send.close()
-        if not bootstrap_recv.poll(start_timeout):
-            process.terminate()
-            raise SharedCacheUnavailable("cache server did not report an address in time")
-        address = bootstrap_recv.recv()
-        bootstrap_recv.close()
-        return cls(address, authkey, process=process, maxsize=maxsize)
-
-    # -- wire ----------------------------------------------------------------
-
-    def _channel(self):
-        return _pooled_channel(self.address, self.authkey)
-
-    def _request(self, op: str, payload=None):
-        if self._closed:
-            raise RuntimeError("cache backend handle is closed")
-        connection, io_lock = self._channel()
-        with io_lock:
-            connection.send((op, payload))
-            ok, result = connection.recv()
-        if not ok:
-            raise RuntimeError(f"cache server rejected {op!r}: {result}")
-        return result
-
-    # -- protocol ------------------------------------------------------------
-
-    def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        return self._request("get_many", keys)
-
-    def put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        self._request("put_many", items)
-
-    def synth_batch(self, spec: dict, items: "list[tuple[bytes, np.ndarray]]") -> dict:
-        """Run a server-side batch synthesis job for a ``get_many`` miss-batch.
-
-        ``spec`` is a :func:`repro.synthesis.batch.resynthesizer_spec` dict;
-        ``items`` are ``(key, canonical_unitary)`` pairs.  The server skips
-        keys already stored, synthesizes the rest in one vectorized pass, and
-        stores the outcomes (failures included); the returned counters dict
-        (``received``/``present``/``synthesized``/``failures``) is advisory.
-        """
-        return self._request("synth_batch", (spec, items))
-
-    def stats(self) -> dict:
-        return self._request("stats")
-
-    def clear(self) -> None:
-        self._request("clear")
-
-    def __len__(self) -> int:
-        return int(self._request("len"))
-
-    def ping(self) -> bool:
-        return self._request("ping") == "pong"
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
-
-    def close(self) -> None:
-        """Tear the server down (owner) or just drop this process's socket.
-
-        Idempotent: the first call does the teardown and drains this
-        process's pooled connection to the server; repeated calls are no-ops,
-        so lifecycle code (portfolio exit paths, host agents, ``finally``
-        blocks) can all call it without coordinating.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._process is not None:
-            try:
-                self._closed = False  # _request refuses on closed handles
-                self._request("shutdown")
-                # The accept loop needs one extra wake-up to observe stop.
-                try:
-                    Client(self.address, authkey=self.authkey).close()
-                except OSError:
-                    pass
-            except (OSError, EOFError, RuntimeError):
-                pass  # server already gone
-            finally:
-                self._closed = True
-            self._process.join(timeout=10.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=5.0)
-            self._process = None
-        _drop_pooled_channel(self.address, self.authkey)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "address": self.address,
-            "authkey": self.authkey,
-            "maxsize": self.maxsize,
-            "_process": None,
-            "_closed": False,
-        }
-
-
-# --------------------------------------------------------------------------
-# Network cache: consistent-hash client over one or more TCP cache servers.
-# --------------------------------------------------------------------------
 
 #: default authentication key for TCP cache servers and clients.  This is a
 #: *connection handshake* (multiprocessing's HMAC challenge), not a security
@@ -836,10 +416,56 @@ DEFAULT_TCP_AUTHKEY = b"repro-cache"
 TCP_URL_PREFIX = "tcp://"
 
 
-def tcp_cache_authkey() -> bytes:
-    """The TCP cache authkey: ``REPRO_CACHE_AUTHKEY`` or the default."""
-    value = os.environ.get("REPRO_CACHE_AUTHKEY")
-    return value.encode() if value else DEFAULT_TCP_AUTHKEY
+def start_tcp_cache_server(
+    host: str = "127.0.0.1",
+    port: int = 0,
+    authkey: "bytes | None" = None,
+    maxsize: int = 4096,
+    match_epsilon: float = 1e-9,
+    start_timeout: float = 30.0,
+    store_path=None,
+    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
+):
+    """Spawn a cache-server process; returns ``(process, (host, port))``.
+
+    ``port=0`` lets the OS pick a free port (the returned address has the
+    real one).  The process is a daemon: it dies with its parent unless the
+    parent outlives the runs it serves.  Terminate it (or send the protocol
+    ``shutdown`` op) to stop it.
+
+    ``store_path`` makes the server crash-safe across restarts: it reloads
+    the on-disk corpus before binding (a damaged file degrades to its intact
+    prefix with a note, never a crash) and snapshots it on shutdown or
+    SIGTERM; ``flush_interval`` bounds how many puts a SIGKILL can lose.
+    """
+    import multiprocessing
+
+    if authkey is None:
+        authkey = net.authkey("REPRO_CACHE_AUTHKEY", DEFAULT_TCP_AUTHKEY)
+    context = multiprocessing.get_context()
+    bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
+    process = context.Process(
+        target=_serve_cache,
+        args=(
+            bootstrap_send,
+            bytes(authkey),
+            maxsize,
+            match_epsilon,
+            (host, port),
+            store_path,
+            flush_interval,
+        ),
+        daemon=True,
+        name="repro-tcp-cache-server",
+    )
+    process.start()
+    bootstrap_send.close()
+    if not bootstrap_recv.poll(start_timeout):
+        process.terminate()
+        raise SharedCacheUnavailable("tcp cache server did not report an address in time")
+    address = bootstrap_recv.recv()
+    bootstrap_recv.close()
+    return process, (str(address[0]), int(address[1]))
 
 
 def parse_tcp_cache_url(url: str) -> "list[tuple[str, int]]":
@@ -870,11 +496,10 @@ def parse_tcp_cache_url(url: str) -> "list[tuple[str, int]]":
 class TcpCacheBackend:
     """Consistent-hash client over one or more AF_INET cache servers.
 
-    Speaks the exact ``(op, payload)`` wire protocol of :class:`ServerBackend`
-    (length-prefixed pickle via ``multiprocessing.connection``), but against
-    standalone network servers (``python -m repro.distrib.cache_server``)
-    instead of a driver-owned child process — which is what lets portfolio
-    runs on *different machines* share one resynthesis store.
+    Speaks the cache server's ``(op, payload)`` wire protocol over the pooled
+    channels of :mod:`repro.net`.  Standalone network servers
+    (``python -m repro.distrib.cache_server``) are what let portfolio runs on
+    *different machines* share one resynthesis store.
 
     Keys are sharded across servers on a consistent-hash ring
     (``hash_replicas`` virtual points per server, SHA-1 positioned), so every
@@ -891,13 +516,15 @@ class TcpCacheBackend:
     ``unreachable_servers``/``dropped_requests``.  The run keeps its own
     correctness either way: the cache is a memo, never a source of truth.
 
-    The backend never owns the server processes (their lifetime deliberately
-    spans runs and hosts); :meth:`close` only drops this process's pooled
-    connections and is idempotent.
+    A handle built from a ``tcp://`` spec never owns its servers (their
+    lifetime deliberately spans runs and hosts).  One built from the
+    ``server:``/``shm:`` spec owns the loopback server it spawned, and
+    :meth:`close` shuts that server down; copies pickled into workers never
+    own it.  :meth:`close` is idempotent and always drops this process's
+    pooled connections.
     """
 
     kind = "tcp"
-    shared_across_processes = True
     supports_batch_synthesis = True
 
     def __init__(
@@ -912,8 +539,11 @@ class TcpCacheBackend:
         if hash_replicas < 1:
             raise ValueError("hash_replicas must be at least 1")
         self.servers = [(str(host), int(port)) for host, port in servers]
-        self.authkey = bytes(authkey) if authkey is not None else tcp_cache_authkey()
+        if authkey is None:
+            authkey = net.authkey("REPRO_CACHE_AUTHKEY", DEFAULT_TCP_AUTHKEY)
+        self.authkey = bytes(authkey)
         self.hash_replicas = hash_replicas
+        self._process = None  # the spawned server, on the owning handle only
         self._closed = False
         self._dead: "set[int]" = set()
         self._dropped = 0
@@ -982,20 +612,13 @@ class TcpCacheBackend:
     def _request(self, server_index: int, op: str, payload=None):
         if self._closed:
             raise RuntimeError("cache backend handle is closed")
-        address = self.servers[server_index]
-        connection, io_lock = _pooled_channel(address, self.authkey)
-        with io_lock:
-            connection.send((op, payload))
-            ok, result = connection.recv()
-        if not ok:
-            raise RuntimeError(f"cache server {address} rejected {op!r}: {result}")
-        return result
+        return net.request(self.servers[server_index], self.authkey, op, payload)
 
     def _request_degraded(self, server_index: int, op: str, payload=None, fallback=None):
         """One request, degrading a dead/dying server to ``fallback``.
 
-        A connection-level failure drops the pooled socket and retries once
-        on a fresh dial — so a stale pooled connection (server restarted,
+        A connection-level failure (which drops the pooled socket) retries
+        once on a fresh dial — so a stale pooled connection (server restarted,
         pool drained mid-flight) never condemns a healthy server.  Only a
         failure on the fresh connection marks the server dead and counts
         toward ``dropped_requests``; protocol-level rejections still raise.
@@ -1009,8 +632,7 @@ class TcpCacheBackend:
         for attempt in range(2):
             try:
                 return self._request(server_index, op, payload)
-            except (OSError, EOFError, ConnectionError):
-                _drop_pooled_channel(self.servers[server_index], self.authkey)
+            except (OSError, EOFError):
                 if attempt == 1:
                     self._dead.add(server_index)
                     with self._stats_lock:
@@ -1053,13 +675,17 @@ class TcpCacheBackend:
         return totals
 
     def stats(self) -> dict:
-        totals = {"entries": 0, "puts": 0, "evictions": 0, "negative_entries": 0}
+        summed = ("entries", "puts", "evictions", "negative_entries")
+        totals = dict.fromkeys(summed, 0)
         persist_notes: "list[str]" = []
         for server_index in range(len(self.servers)):
             reply = self._request_degraded(server_index, "stats", fallback=None)
             if reply:
-                for field_name in totals:
+                for field_name in summed:
                     totals[field_name] += int(reply.get(field_name, 0))
+                if "persist_loaded_entries" in reply:  # a server with a corpus file
+                    loaded = totals.get("persist_loaded_entries", 0)
+                    totals["persist_loaded_entries"] = loaded + int(reply["persist_loaded_entries"])
                 # Persistence anomalies (corrupt corpus, failed writes) are
                 # recorded server-side; forward them so clients can surface
                 # them in PerfReport.notes.
@@ -1094,22 +720,35 @@ class TcpCacheBackend:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this process's pooled server connections (idempotent).
+        """Shut down an owned server; always drop this process's sockets.
 
-        Never shuts servers down — their lifetime spans runs and hosts; stop
-        them via their own CLI/process handle.
+        Idempotent.  A handle that does not own its servers never stops
+        them — their lifetime spans runs and hosts; stop them via their own
+        CLI/process handle.
         """
         if self._closed:
             return
+        process, self._process = self._process, None
+        if process is not None:
+            try:
+                self._request(0, "shutdown")
+            except (OSError, EOFError, RuntimeError):
+                pass  # server already gone
+            net.wake(self.servers[0])  # the accept loop must observe the stop
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
         self._closed = True
         for address in self.servers:
-            _drop_pooled_channel(address, self.authkey)
+            net.drop_pooled_channel(address, self.authkey)
 
     # -- pickling (workers redial through the per-process pool) --------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_stats_lock"]
+        state["_process"] = None  # ownership stays with the spawning handle
         state["_closed"] = False
         state["_dead"] = set()
         state["_dropped"] = 0
@@ -1121,31 +760,23 @@ class TcpCacheBackend:
 
 
 #: query keys the backend-spec grammar accepts, in canonical order
-SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "stripes", "match_epsilon")
+SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "match_epsilon")
 
 _SPEC_GRAMMAR = (
     "local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "shm:[?maxsize=N&stripes=N&match_epsilon=X] | "
-    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
+    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] (alias shm:) | "
     "tcp://host:port[,host:port...]"
 )
 
 
-def _reject_store_path(kind: str, store_path, source: str) -> None:
-    """The up-front store-path guard: shm/tcp clients own no disk store.
+def _reject_client_store_path(store_path, source: str) -> None:
+    """The up-front store-path guard: a tcp client owns no disk store.
 
     Raised *before* any backend machinery is touched, naming the offending
     spec string — a TCP *server* persists via ``--cache 'local:?store=...'``
     (or the legacy ``--store``) on the server side instead.
     """
-    if store_path is None:
-        return
-    if kind == "shm":
-        raise ValueError(
-            f"store_path is not supported by the shm backend (spec {source!r}): "
-            "the manager dict owns no disk store"
-        )
-    if kind == "tcp":
+    if store_path is not None:
         raise ValueError(
             f"store_path applies to the cache server, not the tcp client "
             f"(spec {source!r}); start the server with --cache 'local:?store=PATH' "
@@ -1153,19 +784,38 @@ def _reject_store_path(kind: str, store_path, source: str) -> None:
         )
 
 
+def _spawn_owned_store(maxsize, match_epsilon, store_path, flush_interval) -> TcpCacheBackend:
+    """A loopback cache server under a fresh random authkey, owned by the handle."""
+    key = secrets.token_bytes(16)
+    process, address = start_tcp_cache_server(
+        authkey=key,
+        maxsize=maxsize,
+        match_epsilon=match_epsilon,
+        store_path=store_path,
+        flush_interval=flush_interval,
+    )
+    try:
+        backend = TcpCacheBackend([address], authkey=key)
+    except BaseException:
+        process.terminate()
+        raise
+    backend._process = process
+    return backend
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     """A parsed cache-backend specification — the one way to spell backends.
 
-    Produced by :func:`parse_backend_spec` from any accepted spelling (URL
-    form, legacy bare kind, ``True``); two spellings that resolve to the same
-    configuration compare equal (``source`` keeps the original text for error
-    messages but is excluded from comparison).  ``canonical`` renders the
-    URL form back out; :meth:`create` materializes the backend.
+    Produced by :func:`parse_backend_spec`; two spellings that resolve to the
+    same configuration compare equal (``source`` keeps the original text for
+    error messages but is excluded from comparison), so ``shm:`` and
+    ``server:`` give one spec: ``kind="tcp"`` with no ``servers``, meaning a
+    loopback store the run spawns and owns.  ``canonical`` renders the URL
+    form back out; :meth:`create` materializes the backend.
 
     Optional fields left as ``None`` fall back to the defaults supplied at
-    :meth:`create` time, so a bare ``"local:"`` behaves exactly like the
-    legacy ``create_backend("local")``.
+    :meth:`create` time.
     """
 
     kind: str
@@ -1173,17 +823,18 @@ class BackendSpec:
     store_path: "str | None" = None
     flush_interval: "int | None" = None
     maxsize: "int | None" = None
-    stripes: "int | None" = None
     match_epsilon: "float | None" = None
     source: str = field(default="", compare=False)
 
     @property
     def canonical(self) -> str:
         """The canonical URL spelling of this spec."""
-        if self.kind == "tcp":
+        if self.kind == "local":
+            base = "local:"
+        elif self.servers:
             base = TCP_URL_PREFIX + ",".join(f"{host}:{port}" for host, port in self.servers)
         else:
-            base = f"{self.kind}:"
+            base = "server:"
         query = []
         if self.store_path is not None:
             query.append(f"store={self.store_path}")
@@ -1191,8 +842,6 @@ class BackendSpec:
             query.append(f"flush_every={self.flush_interval}")
         if self.maxsize is not None:
             query.append(f"maxsize={self.maxsize}")
-        if self.stripes is not None:
-            query.append(f"stripes={self.stripes}")
         if self.match_epsilon is not None:
             query.append(f"match_epsilon={self.match_epsilon}")
         return base + ("?" + "&".join(query) if query else "")
@@ -1201,7 +850,6 @@ class BackendSpec:
         self,
         maxsize: int = 512,
         match_epsilon: float = 1e-9,
-        stripes: int = 8,
         store_path=None,
         flush_interval: int = DEFAULT_FLUSH_INTERVAL,
     ):
@@ -1209,27 +857,15 @@ class BackendSpec:
 
         Values carried by the spec itself (from its query string) win over
         the keyword defaults, so ``parse_backend_spec(s).create()`` honors
-        everything encoded in ``s`` while legacy call sites keep passing
-        their own defaults through.  Raises :class:`SharedCacheUnavailable`
-        when the platform cannot bring the backend up.
+        everything encoded in ``s`` while call sites keep passing their own
+        defaults through.  Raises :class:`SharedCacheUnavailable` when a tcp
+        store cannot be reached or spawned.
         """
         maxsize = self.maxsize if self.maxsize is not None else maxsize
         match_epsilon = self.match_epsilon if self.match_epsilon is not None else match_epsilon
-        stripes = self.stripes if self.stripes is not None else stripes
         store_path = self.store_path if self.store_path is not None else store_path
         if self.flush_interval is not None:
             flush_interval = self.flush_interval
-        source = self.source or self.canonical
-        _reject_store_path(self.kind, store_path, source)
-        if self.kind == "tcp":
-            try:
-                return TcpCacheBackend(list(self.servers))
-            except SharedCacheUnavailable:
-                raise
-            except Exception as error:
-                raise SharedCacheUnavailable(
-                    f"tcp cache backend unavailable for {source!r}: {error!r}"
-                ) from error
         if self.kind == "local":
             return LocalBackend(
                 maxsize=maxsize,
@@ -1237,28 +873,21 @@ class BackendSpec:
                 store_path=store_path,
                 flush_interval=flush_interval,
             )
-        if self.kind == "shm":
-            try:
-                return ShmBackend(maxsize=maxsize, match_epsilon=match_epsilon, stripes=stripes)
-            except SharedCacheUnavailable:
-                raise
-            except Exception as error:
-                raise SharedCacheUnavailable(f"shm cache backend unavailable: {error!r}") from error
-        if self.kind == "server":
-            try:
-                return ServerBackend.start(
-                    maxsize=maxsize,
-                    match_epsilon=match_epsilon,
-                    store_path=store_path,
-                    flush_interval=flush_interval,
-                )
-            except SharedCacheUnavailable:
-                raise
-            except Exception as error:
-                raise SharedCacheUnavailable(
-                    f"server cache backend unavailable: {error!r}"
-                ) from error
-        raise ValueError(f"backend must be one of {BACKEND_KINDS}, got {self.kind!r}")
+        if self.kind != "tcp":
+            raise ValueError(f"backend must be one of {BACKEND_KINDS}, got {self.kind!r}")
+        source = self.source or self.canonical
+        if self.servers:
+            _reject_client_store_path(store_path, source)
+        try:
+            if self.servers:
+                return TcpCacheBackend(list(self.servers))
+            return _spawn_owned_store(maxsize, match_epsilon, store_path, flush_interval)
+        except SharedCacheUnavailable:
+            raise
+        except Exception as error:
+            raise SharedCacheUnavailable(
+                f"tcp cache backend unavailable for {source!r}: {error!r}"
+            ) from error
 
 
 def _parse_spec_query(query: str, source: str) -> dict:
@@ -1293,35 +922,33 @@ def _parse_spec_query(query: str, source: str) -> dict:
 
 
 def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
-    """Parse any accepted cache-backend spelling into a :class:`BackendSpec`.
+    """Parse a cache-backend spelling into a :class:`BackendSpec`.
 
     The one grammar every cache-configuration surface routes through
     (``create_backend``, ``share_resynthesis_cache=``, ``resynthesis_cache=``,
     the serve/coordinator/cache-server ``--cache`` flags)::
 
         local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        shm:[?maxsize=N&stripes=N&match_epsilon=X]
         server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
+        shm:[?...]                       (alias of server:)
         tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]
 
-    Legacy spellings still parse — bare kind names (``"shm"``) and ``True``
-    (meaning ``local``) — but emit a :class:`DeprecationWarning` naming the
-    new form when ``parameter`` identifies the user-facing argument they came
-    in through.  Internal plumbing passes ``parameter=None`` to stay silent.
-    Validation is up-front: malformed specs, unknown query keys, and
-    ``store`` on backends that own no disk store all raise :class:`ValueError`
-    naming the offending spec string before any machinery is touched.
+    ``server:`` (and its alias ``shm:``) is a loopback tcp store the run
+    spawns and owns; ``tcp://`` dials servers that already run.  Validation
+    is up-front: malformed specs, unknown query keys, ``store`` on a tcp
+    client, and the retired ``True``/bare-kind spellings all raise
+    :class:`ValueError` naming the offending spec string (and ``parameter``,
+    the argument it came in through, when given) before any machinery is
+    touched.
     """
     if isinstance(spec, BackendSpec):
         return spec
+    where = f" (passed as {parameter})" if parameter else ""
     if spec is True:
-        if parameter:
-            warnings.warn(
-                f"{parameter}=True is deprecated; pass the backend spec 'local:' instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BackendSpec(kind="local", source="True")
+        raise ValueError(
+            f"True is not a backend spec{where}; pass 'local:' instead; "
+            f"expected {_SPEC_GRAMMAR}"
+        )
     if not isinstance(spec, str):
         raise TypeError(f"backend spec must be a string or BackendSpec, got {type(spec).__name__}")
     source = spec
@@ -1329,63 +956,49 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
         base, _, query = spec.partition("?")
         values = _parse_spec_query(query, source)
         servers = tuple(parse_tcp_cache_url(base))
-        result = BackendSpec(kind="tcp", servers=servers, source=source, **values)
-        _reject_store_path("tcp", result.store_path, source)
-        return result
+        _reject_client_store_path(values.get("store_path"), source)
+        return BackendSpec(kind="tcp", servers=servers, source=source, **values)
     kind, separator, rest = spec.partition(":")
-    if separator and kind in ("local", "shm", "server"):
+    if separator and kind in ("local", "server", "shm"):
         if rest and not rest.startswith("?"):
             raise ValueError(
-                f"unrecognized backend spec {source!r}; expected {_SPEC_GRAMMAR}"
+                f"unrecognized backend spec {source!r}{where}; expected {_SPEC_GRAMMAR}"
             )
         values = _parse_spec_query(rest[1:] if rest else "", source)
-        result = BackendSpec(kind=kind, source=source, **values)
-        _reject_store_path(kind, result.store_path, source)
-        return result
-    if spec in ("local", "shm", "server"):
-        if parameter:
-            warnings.warn(
-                f"{parameter}={spec!r} is deprecated; pass the backend spec {spec + ':'!r} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BackendSpec(kind=spec, source=source)
-    raise ValueError(f"unrecognized backend spec {source!r}; expected {_SPEC_GRAMMAR}")
+        return BackendSpec(kind="local" if kind == "local" else "tcp", source=source, **values)
+    raise ValueError(f"unrecognized backend spec {source!r}{where}; expected {_SPEC_GRAMMAR}")
 
 
 def create_backend(
     kind,
     maxsize: int = 512,
     match_epsilon: float = 1e-9,
-    stripes: int = 8,
     store_path=None,
     flush_interval: int = DEFAULT_FLUSH_INTERVAL,
 ):
     """Build a cache backend from a spec, or raise :class:`SharedCacheUnavailable`.
 
     A thin shim over :func:`parse_backend_spec` + :meth:`BackendSpec.create`:
-    ``kind`` may be any accepted spec spelling (``"local:"``, ``"shm:"``,
-    ``"server:"``, ``"tcp://host:port[,...]?..."``, a :class:`BackendSpec`,
-    or a legacy bare kind name — accepted here without a deprecation warning,
-    since internal plumbing routes through this function).  Keyword arguments
-    are fallbacks for anything the spec's query string doesn't pin.
+    ``kind`` may be any accepted spec spelling (``"local:"``, ``"server:"``,
+    ``"shm:"``, ``"tcp://host:port[,...]?..."``) or a :class:`BackendSpec`.
+    Keyword arguments are fallbacks for anything the spec's query string
+    doesn't pin.
 
-    ``local`` always succeeds; ``shm``/``server`` need working
-    subprocess/socket machinery and ``tcp`` needs reachable network cache
-    servers, so any bring-up failure is wrapped in
+    ``local`` always succeeds; a tcp store needs working subprocess/socket
+    machinery (``server:``) or reachable network cache servers
+    (``tcp://``), so any bring-up failure is wrapped in
     :class:`SharedCacheUnavailable` for callers to catch and degrade.
 
     ``store_path`` attaches the crash-safe disk tier (``docs/caching.md``,
     "Persistence tier") to the backends that own a store: ``local`` reloads
-    on construction and persists on ``close()``; ``server`` hands the path to
-    its child process.  ``shm`` and ``tcp`` clients own no store, so the
+    on construction and persists on ``close()``; ``server:`` hands the path
+    to the server it spawns.  A ``tcp://`` client owns no store, so the
     combination is rejected up front with an error naming the spec.
     """
     spec = parse_backend_spec(kind)
     return spec.create(
         maxsize=maxsize,
         match_epsilon=match_epsilon,
-        stripes=stripes,
         store_path=store_path,
         flush_interval=flush_interval,
     )
@@ -1399,13 +1012,10 @@ __all__ = [
     "DEFAULT_WRITE_BATCH",
     "LocalBackend",
     "SPEC_QUERY_KEYS",
-    "ServerBackend",
     "SharedCacheUnavailable",
-    "ShmBackend",
     "TcpCacheBackend",
     "create_backend",
-    "drain_connection_pool",
     "parse_backend_spec",
     "parse_tcp_cache_url",
-    "tcp_cache_authkey",
+    "start_tcp_cache_server",
 ]

@@ -29,7 +29,7 @@ from repro.serve.protocol import SCHEDULER_POLICIES, JobSpec, serve_authkey
 from repro.serve.server import JobServer, OffloadConfig
 
 _CACHE_SPEC_HELP = (
-    "shared resynthesis cache backend spec, e.g. 'local:?store=PATH', 'shm:', "
+    "shared resynthesis cache backend spec, e.g. 'local:?store=PATH', 'server:', "
     "or 'tcp://HOST:PORT[,...]' (see docs/serving.md for the grammar)"
 )
 

@@ -1,8 +1,8 @@
 """Client for the optimization job server.
 
 :class:`JobClient` dials a :class:`~repro.serve.JobServer` over the pooled
-``multiprocessing.connection`` channel the cache backends share (one socket
-per ``(address, authkey)`` per process, request/reply serialized by its io
+:mod:`repro.net` channel the cache backends share (one socket per
+``(address, authkey)`` per process, request/reply serialized by its io
 lock), so a process talking to a server and its caches holds a bounded
 number of sockets no matter how many clients it builds.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.perf.shared_cache import _drop_pooled_channel, _pooled_channel
+from repro import net
 from repro.serve.protocol import JobSpec, serve_authkey
 
 
@@ -45,32 +45,18 @@ class JobClient:
     def _request(self, op: str, payload=None):
         last_attempt = 4
         for attempt in range(last_attempt + 1):
-            connection, io_lock = _pooled_channel(self.address, self.authkey)
-            with io_lock:
-                try:
-                    connection.send((op, payload))
-                except (OSError, ConnectionError):
-                    # Nothing reached the server (e.g. a sibling client's
-                    # close() dropped the pooled socket): re-dial and retry
-                    # — a failed *send* is always safe to repeat, and each
-                    # sibling close can sink at most one attempt.  A truly
-                    # dead server stops the loop earlier: the re-dial
-                    # itself raises.
-                    _drop_pooled_channel(self.address, self.authkey)
-                    if attempt == last_attempt:
-                        raise
-                    continue
-                try:
-                    ok, result = connection.recv()
-                except (EOFError, OSError, ConnectionError):
-                    # The request may have been acted on; drop the dead
-                    # socket but never retry a delivered request.
-                    _drop_pooled_channel(self.address, self.authkey)
+            try:
+                return net.request(self.address, self.authkey, op, payload)
+            except net.UndeliveredRequest:
+                # Nothing reached the server (e.g. a sibling client's close()
+                # dropped the pooled socket): re-dial and retry — a failed
+                # *send* is always safe to repeat, and each sibling close can
+                # sink at most one attempt.  A truly dead server stops the
+                # loop earlier: the re-dial itself raises.  A failed
+                # *receive* is never retried: the request may have been
+                # acted on.
+                if attempt == last_attempt:
                     raise
-            break
-        if not ok:
-            raise RuntimeError(f"server rejected {op!r}: {result}")
-        return result
 
     # -- job lifecycle ---------------------------------------------------------
 
@@ -156,11 +142,11 @@ class JobClient:
         thread's *next* request transparently re-dials).
         """
         try:
-            _, io_lock = _pooled_channel(self.address, self.authkey)
+            _, io_lock = net.pooled_channel(self.address, self.authkey)
         except Exception:  # noqa: BLE001 - nothing to close if dialing fails
             return
         with io_lock:
-            _drop_pooled_channel(self.address, self.authkey)
+            net.drop_pooled_channel(self.address, self.authkey)
 
     def __enter__(self) -> "JobClient":
         return self

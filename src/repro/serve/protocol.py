@@ -32,8 +32,9 @@ smoke gate assert *zero dropped requests*.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from repro import net
 
 #: default client<->server authkey; a handshake (multiprocessing HMAC), not
 #: a security boundary — override with ``REPRO_SERVE_AUTHKEY``
@@ -53,8 +54,7 @@ SCHEDULER_POLICIES = ("fair", "deadline")
 
 def serve_authkey() -> bytes:
     """The serve authkey: ``REPRO_SERVE_AUTHKEY`` or the default."""
-    value = os.environ.get("REPRO_SERVE_AUTHKEY")
-    return value.encode() if value else DEFAULT_SERVE_AUTHKEY
+    return net.authkey("REPRO_SERVE_AUTHKEY", DEFAULT_SERVE_AUTHKEY)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ a job runs never changes what it returns.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from dataclasses import dataclass, replace
 
+from repro import net
 from repro.serve.protocol import JobSpec, serve_authkey
 from repro.serve.scheduler import JobScheduler
 
@@ -149,16 +149,7 @@ class JobServer:
             return
         self._stop.set()
         if self._listener is not None:
-            # The accept loop blocks in accept(); a throwaway connection
-            # unblocks it so it can observe the stop flag (the same trick
-            # the distrib coordinator uses).  A raw timed connect — not a
-            # full authenticated Client — because if the accept thread has
-            # already exited on its own, a Client dial would sit in the
-            # listen backlog waiting forever for a challenge nobody sends.
-            try:
-                socket.create_connection(self.address, timeout=2.0).close()
-            except OSError:
-                pass
+            net.wake(self.address)  # the accept loop must observe the stop flag
             try:
                 self._listener.close()
             except OSError:
@@ -205,12 +196,13 @@ class JobServer:
     def _offload_cache_spec(self) -> "str | None":
         """The cache spec offloaded jobs can reach — network specs only.
 
-        A ``tcp://`` store is addressable from worker hosts; ``local:``/
-        ``shm:``/``server:`` backends live inside this server process, so
-        offloaded jobs run with private caches rather than pretending.
+        A ``tcp://`` store is addressable from worker hosts; a ``local:``
+        store lives inside this server process and a ``server:`` store lives
+        and dies with it, so offloaded jobs run with private caches rather
+        than pretending.
         """
         spec = self.scheduler._cache_spec
-        if spec is not None and spec.kind == "tcp":
+        if spec is not None and spec.servers:
             return spec.canonical
         return None
 
@@ -317,22 +309,9 @@ class JobServer:
     # -- connection handling ---------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                connection = self._listener.accept()
-            except (OSError, EOFError):
-                if self._stop.is_set():
-                    return
-                continue  # failed handshake must not kill the server
-            except Exception:
-                continue
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                daemon=True,
-                name="serve-conn",
-            )
-            thread.start()
+        net.serve_forever(
+            self._listener, self._serve_connection, self._stop.is_set, name="serve-conn"
+        )
 
     def _serve_connection(self, connection) -> None:
         try:

@@ -27,7 +27,7 @@ from repro.distrib import (
     run_local,
     start_tcp_cache_server,
 )
-from repro.distrib.worker import build_cases, case_optimizer, distrib_authkey, execute_shard
+from repro.distrib.worker import build_cases, case_optimizer, execute_shard
 from repro.suite.suite import select_cases
 from repro.suite import ftqc_suite
 from repro.utils.linalg import hilbert_schmidt_distance
@@ -291,7 +291,7 @@ class TestCaseGranularFaultTolerance:
         address = coordinator.start()
         # Drive the wire protocol by hand: complete exactly one run as
         # "victim", then drop the connection — deterministic, no timing.
-        connection = Client(address, authkey=distrib_authkey())
+        connection = Client(address, authkey=coordinator.authkey)
         connection.send(("hello", "victim"))
         connection.recv()
         connection.send(("next", None))

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro import net
 from repro.circuits import Circuit
 from repro.core import (
     GuoqConfig,
@@ -32,18 +33,19 @@ from repro.distrib import (
     run_host_agent,
     start_tcp_cache_server,
 )
-from repro.distrib.worker import HostAgent, build_cases, case_optimizer, distrib_authkey
+from repro.distrib.worker import HostAgent, build_cases, case_optimizer
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
 from repro.perf import LocalBackend, ResynthesisCache, TcpCacheBackend
 from repro.perf.report import PerfReport
-from repro.perf.shared_cache import _CONNECTIONS
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
 from repro.synthesis import CliffordTResynthesizer
 from repro.synthesis.resynth import ResynthesisOutcome
 
 EPS = 1e-6
+#: handshake key shared by the scripted coordinators and the agents they drive
+AGENT_KEY = b"fault-injection"
 
 
 def cnot_conjugated_rz(angle: float = 0.5) -> Circuit:
@@ -56,14 +58,13 @@ class FaultyBackend:
     """A shared-store stand-in that dies after ``fail_after`` operations.
 
     Wraps a real :class:`LocalBackend` but masquerades as a cross-process
-    backend (``kind="server"``), so the front end takes its shared-store
+    backend (``kind="tcp"``), so the front end takes its shared-store
     paths (L1, write buffer, remote-hit attribution) — and then sees the
     store vanish exactly the way a killed cache server process would: every
     round trip raises a connection-level error.
     """
 
-    kind = "server"
-    shared_across_processes = True
+    kind = "tcp"
 
     def __init__(self, fail_after: int = 0) -> None:
         self.inner = LocalBackend(maxsize=64)
@@ -411,8 +412,10 @@ class TestAgentFaultPaths:
             backend="not-a-backend",
         )
         shard = make_shard_plan(["ghz_5"], num_shards=1, root_seed=1).shards[0]
-        with Listener(("127.0.0.1", 0), authkey=distrib_authkey()) as listener:
-            agent = HostAgent(listener.address, poll_interval=30.0, connect_timeout=10.0)
+        with Listener(("127.0.0.1", 0), authkey=AGENT_KEY) as listener:
+            agent = HostAgent(
+                listener.address, authkey=AGENT_KEY, poll_interval=30.0, connect_timeout=10.0
+            )
             thread = threading.Thread(target=agent.run, daemon=True)
             thread.start()
             connection = listener.accept()
@@ -464,8 +467,10 @@ class TestExchangeAdoption:
         bait = Circuit(build_cases(job, ["ghz_5"])["ghz_5"].num_qubits)
         result = None
         heartbeats = 0
-        with Listener(("127.0.0.1", 0), authkey=distrib_authkey()) as listener:
-            agent = HostAgent(listener.address, poll_interval=0.05, connect_timeout=10.0)
+        with Listener(("127.0.0.1", 0), authkey=AGENT_KEY) as listener:
+            agent = HostAgent(
+                listener.address, authkey=AGENT_KEY, poll_interval=0.05, connect_timeout=10.0
+            )
             thread = threading.Thread(target=agent.run, daemon=True)
             thread.start()
             connection = listener.accept()
@@ -535,7 +540,7 @@ class TestCoordinatorHygiene:
         backend = TcpCacheBackend([address])
         try:
             assert backend.ping()
-            assert _CONNECTIONS, "the ping should have pooled a connection"
+            assert net._POOL, "the ping should have pooled a connection"
             job = DistributedJob(
                 suite="ftqc",
                 scale="tiny",
@@ -558,7 +563,7 @@ class TestCoordinatorHygiene:
                 if agent.is_alive():  # pragma: no cover - hung agent cleanup
                     agent.terminate()
             assert len(result.cases) == 1
-            assert _CONNECTIONS == {}, "serve() must drain this process's pool"
+            assert net._POOL == {}, "serve() must drain this process's pool"
         finally:
             backend.close()
             process.terminate()

@@ -434,8 +434,7 @@ class TestOffload:
 class StubBatchBackend:
     """In-process shared-store stand-in that accepts batch synthesis jobs."""
 
-    kind = "server"
-    shared_across_processes = True
+    kind = "tcp"
     supports_batch_synthesis = True
 
     def __init__(self) -> None:
@@ -552,9 +551,15 @@ class TestSharedCacheAcrossTenants:
         try:
             with JobClient(address=server.address) as client:
                 # Same circuit, different tenants: resynthesis keys overlap,
-                # so whoever synthesizes a block first feeds the other.
-                ids = [
-                    client.submit(
+                # so tenant 2's job hits blocks tenant 1's job synthesized.
+                # The jobs run one after the other: a finished job's front
+                # end has flushed its write buffer into the shared store.
+                # Run concurrently, tenant 1's few buffered puts reached the
+                # store only if a client poll happened to flush them first,
+                # which made the count depend on timing.
+                results = []
+                for seed in (1, 2):
+                    job_id = client.submit(
                         fast_spec(
                             seed=seed,
                             tenant=f"tenant-{seed}",
@@ -564,9 +569,7 @@ class TestSharedCacheAcrossTenants:
                             exchange_interval=20,
                         )
                     )
-                    for seed in (1, 2)
-                ]
-                results = [client.result(jid, timeout=300.0) for jid in ids]
+                    results.append(client.result(job_id, timeout=300.0))
                 assert all(status.state == "done" for status, _ in results)
                 remote_hits = sum(
                     result.perf.cache_remote_hits for _, result in results if result.perf

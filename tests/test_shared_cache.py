@@ -2,13 +2,19 @@
 
 Covers the seams the in-process cache tests cannot: a worker in one process
 hitting on an entry a worker in another process inserted, attaching to the
-shared store under both fork and spawn start methods, the cache server's
-lifecycle (owned by the portfolio driver, dead after the run), and the
+shared store under both fork and spawn start methods, the owned cache
+server's lifecycle (spawned by the portfolio driver for ``server:``/``shm:``,
+dead after the run), the fork-safety of the pooled connections, and the
 degrade paths — backend bring-up failure falling back to ``local``, and a
 pickled local shared cache reporting its downgrade instead of staying silent.
+
+Every cross-process case runs against the two aliases of the owned loopback
+store (``shm:``, ``server:``) and against a standalone server dialed by
+``tcp://`` URL.
 """
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -23,7 +29,8 @@ from repro.core import (
 )
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
-from repro.perf import ResynthesisCache, ServerBackend, SharedCacheUnavailable, ShmBackend
+from repro import net
+from repro.perf import ResynthesisCache, SharedCacheUnavailable, create_backend
 from repro.perf.shared_cache import _BucketStore, _Entry
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
@@ -31,7 +38,25 @@ from repro.synthesis import CliffordTResynthesizer
 from repro.synthesis.resynth import ResynthesisOutcome
 
 EPS = 1e-6
-BACKEND_FIXTURES = ("shm", "server")
+#: test id -> spec; ``tcp`` stands for a standalone server the fixture starts
+BACKEND_FIXTURES = {"shm": "shm:", "server": "server:", "tcp": None}
+
+
+@pytest.fixture(params=list(BACKEND_FIXTURES))
+def kind(request):
+    """A shared-store spec: an owned-store alias, or a live standalone server's URL."""
+    spec = BACKEND_FIXTURES[request.param]
+    if spec is not None:
+        yield spec
+        return
+    from repro.distrib import start_tcp_cache_server
+
+    process, (host, port) = start_tcp_cache_server(maxsize=64)
+    try:
+        yield f"tcp://{host}:{port}"
+    finally:
+        process.terminate()
+        process.join(timeout=10.0)
 
 
 def cnot_conjugated_rz(control: int, target: int, angle: float = 0.5) -> Circuit:
@@ -63,7 +88,6 @@ def _lookup_block_entry(cache: ResynthesisCache, block: Circuit, out) -> None:
 class TestCrossProcessReuse:
     """Worker B gets a hit on a key worker A inserted — across real processes."""
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_insert_in_child_hit_in_parent(self, kind):
         cache = _shared_cache(kind)
         try:
@@ -77,11 +101,10 @@ class TestCrossProcessReuse:
             assert circuit_distance(block, outcome.circuit) < EPS
             stats = cache.stats()
             assert stats.remote_hits == 1, "a sibling's entry must count as a remote hit"
-            assert stats.backend == kind
+            assert stats.backend == "tcp"
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_insert_in_parent_hit_in_child(self, kind):
         cache = _shared_cache(kind)
         try:
@@ -108,7 +131,6 @@ class TestCrossProcessReuse:
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_own_entries_are_not_remote_hits(self, kind):
         cache = _shared_cache(kind)
         try:
@@ -125,7 +147,8 @@ class TestSpawnVsForkAttach:
     """A pickled front end must re-attach to the shared store under either
     start method (spawn re-imports; fork inherits)."""
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
+    # kind parametrized here (not by the fixture) to keep the start method first in the id
+    @pytest.mark.parametrize("kind", list(BACKEND_FIXTURES), indirect=True)
     @pytest.mark.parametrize("start_method", ("fork", "spawn"))
     def test_attach_across_start_methods(self, kind, start_method):
         if start_method not in multiprocessing.get_all_start_methods():
@@ -154,31 +177,25 @@ class TestBackendSemantics:
     def test_local_backend_requires_shared_false_ok(self):
         # a non-local backend on a private cache is a configuration error
         backend = _BucketStore(maxsize=4)
-        backend.kind = "shm"  # masquerade: any non-local kind must be rejected
+        backend.kind = "tcp"  # masquerade: any non-local kind must be rejected
         with pytest.raises(ValueError):
             ResynthesisCache(shared=False, backend=backend)
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_eviction_bounds_shared_store(self, kind):
         cache = _shared_cache(kind, write_batch_size=1)
         try:
-            if kind == "shm":
-                cache.backend.maxsize = 4
-            # the server's store bound is fixed at start time; re-create small
+            # the server's store bound (64) is fixed at start time
             for index in range(8):
                 circuit = Circuit(1).rz(0.1 + index, 0)
                 cache.put(circuit.unitary(), None)
             cache.flush()
-            if kind == "shm":
-                assert len(cache) <= 4
-            else:
-                assert len(cache) == 8  # default bound not yet exceeded
+            assert len(cache) == 8  # bound not yet exceeded
         finally:
             cache.close()
 
     def test_server_eviction_respects_maxsize(self):
         try:
-            backend = ServerBackend.start(maxsize=4)
+            backend = create_backend("server:", maxsize=4)
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         cache = ResynthesisCache(maxsize=4, shared=True, backend=backend, write_batch_size=1)
@@ -191,7 +208,6 @@ class TestBackendSemantics:
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_negative_entries_travel_through_shared_store(self, kind):
         cache = _shared_cache(kind)
         try:
@@ -206,7 +222,7 @@ class TestBackendSemantics:
             cache.close()
 
     def test_shm_refresh_to_success_updates_negative_count(self):
-        cache = _shared_cache("shm", write_batch_size=1)
+        cache = _shared_cache("shm:", write_batch_size=1)
         try:
             block = cnot_conjugated_rz(0, 1)
             cache.put(block.unitary(), None)
@@ -220,7 +236,6 @@ class TestBackendSemantics:
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_unflushed_puts_survive_backend_fetch_into_l1(self, kind, monkeypatch):
         """A backend fetch for a key must merge into the L1 bucket, not
         replace it — otherwise a worker's own buffered (unflushed) results
@@ -258,21 +273,21 @@ class TestBackendSemantics:
 
     def test_server_rejects_unknown_ops(self):
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:", maxsize=8)
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         try:
             assert backend.ping()
-            with pytest.raises(RuntimeError):
-                backend._request("no-such-op")
+            with pytest.raises(RuntimeError, match="unknown op"):
+                backend._request(0, "no-such-op")
         finally:
             backend.close()
 
     def test_shm_store_survives_torn_counter_updates(self):
         try:
-            backend = ShmBackend(maxsize=16)
-        except Exception as error:  # pragma: no cover
-            pytest.skip(f"shm backend unavailable here: {error}")
+            backend = create_backend("shm:", maxsize=16)
+        except SharedCacheUnavailable as error:  # pragma: no cover
+            pytest.skip(f"shm: store unavailable here: {error}")
         try:
             import numpy as np
 
@@ -318,7 +333,6 @@ def _portfolio_config(num_workers: int = 2, backend: str = "processes") -> Portf
 
 
 class TestPortfolioIntegration:
-    @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_processes_portfolio_reports_cross_worker_hits(self, kind):
         circuit = random_clifford_t(3, 30, seed=4)
         optimizer = PortfolioOptimizer(
@@ -328,7 +342,7 @@ class TestPortfolioIntegration:
             share_resynthesis_cache=kind,
         )
         result = optimizer.optimize(circuit)
-        assert result.shared_cache_backend == kind
+        assert result.shared_cache_backend == "tcp"
         assert result.perf is not None
         assert result.perf.cache_hits > 0
         assert result.perf.cache_remote_hits > 0, (
@@ -343,25 +357,25 @@ class TestPortfolioIntegration:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2),
-            share_resynthesis_cache="server",
+            share_resynthesis_cache="server:",
         )
         server_processes_before = [
             process
             for process in multiprocessing.active_children()
-            if process.name == "resynth-cache-server"
+            if process.name == "repro-tcp-cache-server"
         ]
         result = optimizer.optimize(circuit)
-        assert result.shared_cache_backend == "server"
+        assert result.shared_cache_backend == "tcp"
         leftover = [
             process
             for process in multiprocessing.active_children()
-            if process.name == "resynth-cache-server"
+            if process.name == "repro-tcp-cache-server"
             and process not in server_processes_before
         ]
         assert not leftover, "the portfolio driver must shut its cache server down"
 
     def test_adopted_cache_stays_alive_after_portfolio_exit(self):
-        cache = _shared_cache("server")
+        cache = _shared_cache("server:")
         try:
             circuit = random_clifford_t(3, 20, seed=4)
             optimizer = PortfolioOptimizer(
@@ -392,7 +406,7 @@ class TestPortfolioIntegration:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2, backend="serial"),
-            share_resynthesis_cache="shm",
+            share_resynthesis_cache="shm:",
         )
         result = optimizer.optimize(circuit)
         assert result.shared_cache_backend == "local"
@@ -407,11 +421,11 @@ class TestDowngradeReporting:
         assert any("downgraded to a private" in note for note in fork.notes)
 
     def test_pickled_shared_backend_cache_does_not_downgrade(self):
-        cache = _shared_cache("shm")
+        cache = _shared_cache("shm:")
         try:
             fork = pickle.loads(pickle.dumps(cache))
             assert fork.notes == []
-            assert fork.backend.kind == "shm"
+            assert fork.backend.kind == "tcp"
         finally:
             cache.close()
 
@@ -423,7 +437,7 @@ class TestDowngradeReporting:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2),
-            share_resynthesis_cache="local",
+            share_resynthesis_cache="local:",
         )
         result = optimizer.optimize(circuit)
         assert result.shared_cache_backend == "local"
@@ -587,43 +601,87 @@ class TestTcpCacheBackend:
 
 
 class TestConnectionPoolLifecycle:
-    """Satellite: idempotent close + per-process pool drain."""
+    """Idempotent close, owned-store teardown, pool drain, and fork safety."""
 
     def test_server_backend_close_is_idempotent(self):
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:", maxsize=8)
         except SharedCacheUnavailable as error:  # pragma: no cover
-            pytest.skip(f"server backend unavailable here: {error}")
+            pytest.skip(f"server: store unavailable here: {error}")
+        process = backend._process
         assert backend.ping()
         backend.close()
         backend.close()  # second close must be a no-op, not an error
-        assert not backend.alive
+        assert not process.is_alive(), "closing the owning handle stops its server"
+
+    def test_pickled_copy_of_owned_store_never_stops_it(self):
+        try:
+            backend = create_backend("server:", maxsize=8)
+        except SharedCacheUnavailable as error:  # pragma: no cover
+            pytest.skip(f"server: store unavailable here: {error}")
+        try:
+            copy = pickle.loads(pickle.dumps(backend))
+            copy.close()  # a worker's copy only drops its sockets
+            assert backend.ping()
+        finally:
+            backend.close()
 
     def test_close_drains_pooled_connection(self):
-        from repro.perf.shared_cache import _CONNECTIONS, _address_key
-
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:", maxsize=8)
         except SharedCacheUnavailable as error:  # pragma: no cover
-            pytest.skip(f"server backend unavailable here: {error}")
+            pytest.skip(f"server: store unavailable here: {error}")
         assert backend.ping()
-        pool_key = (_address_key(backend.address), backend.authkey)
-        assert pool_key in _CONNECTIONS
+        pool_key = net._pool_key(backend.servers[0], backend.authkey)
+        assert pool_key in net._POOL
         backend.close()
-        assert pool_key not in _CONNECTIONS
+        assert pool_key not in net._POOL
 
     def test_drain_connection_pool_closes_everything(self, tcp_servers):
         from repro.perf import TcpCacheBackend, drain_connection_pool
-        from repro.perf.shared_cache import _CONNECTIONS
 
         backend = TcpCacheBackend(tcp_servers)
         assert backend.ping()
-        assert len(_CONNECTIONS) >= 2
+        assert len(net._POOL) >= 2
         drained = drain_connection_pool()
         assert drained >= 2
-        assert not _CONNECTIONS
+        assert not net._POOL
         assert backend.ping()  # next request simply redials
         backend.close()
+
+    def test_forked_child_dials_its_own_connection(self, tcp_servers):
+        """A forked child must not reuse the parent's pooled socket.
+
+        Two processes sharing one socket interleave request and reply frames
+        (the io lock is a thread lock, so it does not serialize them).  The
+        child must get a new connection, and closing the inherited copy must
+        leave the parent's socket working.
+        """
+        from repro.perf import TcpCacheBackend
+
+        backend = TcpCacheBackend(tcp_servers[:1])
+        try:
+            parent_connection, _ = net.pooled_channel(backend.servers[0], backend.authkey)
+            receiver, sender = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: report and leave without running any teardown
+                verdict = b"0"
+                try:
+                    child_connection, _ = net.pooled_channel(backend.servers[0], backend.authkey)
+                    if child_connection is not parent_connection and backend.ping():
+                        verdict = b"1"
+                finally:
+                    os.write(sender, verdict)
+                    os._exit(0)
+            os.close(sender)
+            verdict = os.read(receiver, 1)
+            os.close(receiver)
+            os.waitpid(pid, 0)
+            assert verdict == b"1", "the forked child reused the parent's pooled connection"
+            assert net.pooled_channel(backend.servers[0], backend.authkey)[0] is parent_connection
+            assert backend.ping(), "the parent's socket must survive the child's close"
+        finally:
+            backend.close()
 
     def test_closed_handle_refuses_requests(self, tcp_servers):
         from repro.perf import TcpCacheBackend
